@@ -579,7 +579,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--transport",
         choices=("inproc", "tcp"),
         default="tcp",
-        help="shard transport when --shards > 1: 'tcp' forks one OS "
+        help="shard transport when --shards > 1: 'tcp' starts one OS "
         "process per shard (real parallelism), 'inproc' keeps them in "
         "the coordinator's event loop (default: tcp)",
     )

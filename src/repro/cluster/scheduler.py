@@ -40,7 +40,15 @@ from repro.cluster.task import TaskFailure, TaskOutcome, TaskSpec, TaskState
 from repro.cluster.worker import worker_main
 from repro.obs import runtime as obs
 
-__all__ = ["ClusterConfig", "Scheduler", "run_tasks"]
+__all__ = ["START_METHOD", "ClusterConfig", "Scheduler", "run_tasks"]
+
+#: ``multiprocessing`` start method of every process the package (and the
+#: sharded service) launches.  A forked child inherits the parent's
+#: threads' locks but not the threads: after an in-process GA has started
+#: the native kernel's OpenMP pool, a ``fork``ed worker blocks forever on
+#: its first parallel region.  A forkserver child is forked from a clean
+#: single-threaded server process instead.
+START_METHOD = "forkserver"
 
 
 @dataclass(frozen=True)
@@ -59,16 +67,14 @@ class ClusterConfig:
         ``None`` disables hang detection (crashes are still caught).
     poll_interval:
         Scheduler event-loop wait granularity in seconds.
-    mp_context:
-        ``multiprocessing`` start method (``"fork"``/``"spawn"``/...),
-        ``None`` for the platform default.
+
+    Workers start with :data:`START_METHOD`.
     """
 
     n_workers: int = 1
     heartbeat_interval: float = 0.25
     heartbeat_timeout: float | None = 30.0
     poll_interval: float = 0.05
-    mp_context: str | None = None
 
     def __post_init__(self) -> None:
         if self.n_workers < 0:
@@ -361,7 +367,7 @@ class Scheduler:
         self._ready = deque()
         self._completed_log = []
         self._delivered = 0
-        self._pool_ctx = None
+        self._workers = None
         self.metrics = ClusterMetrics()
 
     def submit(self, spec: TaskSpec) -> None:
@@ -434,7 +440,7 @@ class Scheduler:
             while True:
                 self._dispatch()
                 self._pump_messages()
-                self._sweep_liveness(self._pool_ctx)
+                self._sweep_liveness()
                 if (
                     len(self._completed_log) > self._delivered
                     or time.monotonic() >= deadline
@@ -457,9 +463,7 @@ class Scheduler:
         """End an incremental session: stop workers, close the journal."""
         if not self._incremental:
             return
-        if getattr(self, "_pool_ctx", None) is not None and getattr(
-            self, "_workers", None
-        ):
+        if self._workers:
             self._shutdown_pool()
         if self.checkpoint is not None:
             self.checkpoint.close()
@@ -467,13 +471,9 @@ class Scheduler:
         self._completed_log = None
 
     def _ensure_pool(self) -> None:
-        if self._pool_ctx is None:
-            self._pool_ctx = mp.get_context(self.config.mp_context)
-            self._workers = {}
-            self._next_worker_id = 0
-            self._monitor = HeartbeatMonitor(timeout=self.config.heartbeat_timeout)
-        while len(self._workers) < min(self.config.n_workers, self._unfinished()):
-            self._spawn_worker(self._pool_ctx)
+        if self._workers is None:
+            self._open_pool()
+        self._fill_pool()
 
     # ------------------------------------------------------------ serial path
 
@@ -519,23 +519,43 @@ class Scheduler:
     # -------------------------------------------------------------- pool path
 
     def _run_pool(self) -> None:
-        ctx = mp.get_context(self.config.mp_context)
-        self._workers: dict[int, _WorkerHandle] = {}
-        self._next_worker_id = 0
-        self._monitor = HeartbeatMonitor(timeout=self.config.heartbeat_timeout)
+        self._open_pool()
         try:
-            for _ in range(min(self.config.n_workers, self._unfinished())):
-                self._spawn_worker(ctx)
+            self._fill_pool()
             while self._unfinished():
                 self._dispatch()
                 self._pump_messages()
-                self._sweep_liveness(ctx)
+                self._sweep_liveness()
         finally:
             self._shutdown_pool()
 
-    def _spawn_worker(self, ctx) -> None:
+    def _open_pool(self) -> None:
+        self._workers: dict[int, _WorkerHandle] = {}
+        self._slots = 0
+        self._next_worker_id = 0
+        self._monitor = HeartbeatMonitor(timeout=self.config.heartbeat_timeout)
+
+    def _fill_pool(self) -> None:
+        """Grow the pool to ``min(n_workers, unfinished)`` workers and
+        refill the slot of every lost worker while work remains.
+
+        The pool heals: a lost worker is replaced (one ``respawns``) as
+        long as any task is unfinished, even when the survivors could
+        absorb the remaining work.
+        """
+        while self._unfinished():
+            if len(self._workers) < self._slots:
+                self.metrics.respawns += 1
+            elif self._slots < min(self.config.n_workers, self._unfinished()):
+                self._slots += 1
+            else:
+                break
+            self._spawn_worker()
+
+    def _spawn_worker(self) -> None:
         wid = self._next_worker_id
         self._next_worker_id += 1
+        ctx = mp.get_context(START_METHOD)
         parent_conn, child_conn = ctx.Pipe(duplex=True)
         proc = ctx.Process(
             target=worker_main,
@@ -545,8 +565,11 @@ class Scheduler:
         )
         proc.start()
         child_conn.close()  # parent keeps only its end, so EOF is detectable
+        # The heartbeat clock starts at the worker's "ready" message, not
+        # here: a fresh interpreter importing the package is not silence.
+        # A worker that dies while starting is caught by the exit check in
+        # _sweep_liveness.
         self._workers[wid] = _WorkerHandle(wid, proc, parent_conn)
-        self._monitor.register(wid)
         self.metrics.n_workers = len(self._workers)
         obs.event("cluster.worker_spawn", worker=wid)
 
@@ -595,7 +618,7 @@ class Scheduler:
                 except (EOFError, OSError):
                     self._on_worker_lost(handle, "worker connection lost")
                     break
-                self._monitor.beat(handle.id)
+                self._monitor.beat(handle.id)  # "ready" is the first beat
                 kind = message[0]
                 if kind in ("heartbeat", "ready"):
                     continue
@@ -623,7 +646,7 @@ class Scheduler:
             1 for w in self._workers.values() if w.current is not None
         )
 
-    def _sweep_liveness(self, ctx) -> None:
+    def _sweep_liveness(self) -> None:
         lost: list[tuple[_WorkerHandle, str]] = []
         for handle in self._workers.values():
             if not handle.proc.is_alive():
@@ -644,10 +667,7 @@ class Scheduler:
                 )
         for handle, reason in lost:
             self._on_worker_lost(handle, reason)
-        # Keep the pool at strength while useful work remains.
-        while len(self._workers) < min(self.config.n_workers, self._unfinished()):
-            self.metrics.respawns += 1
-            self._spawn_worker(ctx)
+        self._fill_pool()
 
     def _on_worker_lost(self, handle: _WorkerHandle, reason: str) -> None:
         """Retire a dead/hung worker, requeueing its in-flight task."""

@@ -46,6 +46,8 @@ import threading
 import time
 from dataclasses import dataclass
 
+from repro.utils.stats import normal_cdf
+
 __all__ = ["ADMISSION_MODES", "AdmissionDecision", "AdmissionController"]
 
 #: Supported admission modes.
@@ -63,11 +65,6 @@ class AdmissionDecision:
 
     tier: str
     reason: str | None = None
-
-
-def _phi(x: float) -> float:
-    """Standard normal CDF."""
-    return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
 
 
 class AdmissionController:
@@ -218,7 +215,7 @@ class AdmissionController:
         var = queued * self.ga_seconds_var / (self.ga_workers**2)
         if var <= 0.0:
             return 1.0 if mean <= deadline_s else 0.0
-        return _phi((deadline_s - mean) / math.sqrt(var))
+        return normal_cdf((deadline_s - mean) / math.sqrt(var))
 
     def observe_ga_seconds(self, seconds: float) -> None:
         """Feed one completed GA solve's duration into the estimators."""

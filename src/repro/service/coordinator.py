@@ -2,8 +2,11 @@
 
 The coordinator speaks the exact same wire protocol as the single-node
 :class:`~repro.service.server.SchedulerService` — clients cannot tell
-which one they connected to — but instead of solving, it routes every
-``solve`` to one of N scheduler-worker shards over the comm layer:
+which one they connected to.  It *is* that service, with the same
+connection loop and solve pipeline; it overrides the role hooks only:
+its ``_admit`` passes every request through, its ``_execute`` routes the
+``solve`` to one of N scheduler-worker shards over the comm layer, and
+its lifecycle hooks start and stop the shards:
 
 * **routing** — the problem fingerprint is consistent-hashed to a home
   shard (:mod:`repro.service.sharding`); GA requests may be stolen by
@@ -14,7 +17,9 @@ which one they connected to — but instead of solving, it routes every
   single-node daemon for any shard count;
 * **replicated cache** — every non-degraded core is written through to
   a coordinator-side :class:`ResultCache`, so a repeat request is a hit
-  even after the shard that computed it was killed;
+  even after the shard that computed it was killed (a shard's degraded
+  reply comes back as a degraded :class:`Outcome`, which the pipeline
+  serves but never caches);
 * **supervision** — a reader task per shard detects comm loss, fails
   the shard's in-flight dispatches, and respawns the shard (bounded by
   ``max_restarts``); failed dispatches are re-routed to live shards,
@@ -22,8 +27,9 @@ which one they connected to — but instead of solving, it routes every
   is a pure function of the payload.
 
 Shards are either in-process :class:`ShardServer` instances over the
-``inproc://`` transport (tests, docs) or forked OS processes serving
-``tcp://`` (real parallelism; the chaos story).
+``inproc://`` transport (tests, docs) or OS processes serving ``tcp://``
+(real parallelism; the chaos story), started with the cluster pool's
+:data:`~repro.cluster.scheduler.START_METHOD`.
 """
 
 from __future__ import annotations
@@ -32,34 +38,48 @@ import asyncio
 import itertools
 import multiprocessing as mp
 import os
-import time
 from dataclasses import dataclass
 from typing import Any, Callable
 
-from repro.io.json_io import problem_fingerprint, problem_from_dict
+from repro.cluster.scheduler import START_METHOD
 from repro.obs import runtime as obs
-from repro.service.admission import ADMISSION_MODES
-from repro.service.cache import cache_key
+from repro.service.admission import ADMISSION_MODES, AdmissionDecision
 from repro.service.comm import Comm, CommClosedError, DEFAULT_MAX_FRAME
 from repro.service.comm import connect as comm_connect
-from repro.service.protocol import (
-    ERROR_CODES,
-    PROTOCOL_VERSION,
-    SOLVERS,
-    ProtocolError,
-    ok_response,
+from repro.service.protocol import ERROR_CODES, ProtocolError, ok_response
+from repro.service.server import (
+    SOLVER_TIERS,
+    Outcome,
+    SchedulerService,
+    ServiceConfig,
 )
-from repro.service.server import SchedulerService, ServiceConfig
 from repro.service.shard import ShardServer, shard_config, shard_main
 from repro.service.sharding import HashRing, choose_shard
-from repro.service.solvers import solve_params
 
 __all__ = ["CoordinatorConfig", "Coordinator", "ShardDown"]
 
 TRANSPORTS = ("inproc", "tcp")
 
+#: :class:`CoordinatorConfig` fields passed unchanged to the coordinator's
+#: own :class:`ServiceConfig` and to every shard's.
+_FORWARDED = (
+    "workers",
+    "ga_queue_limit",
+    "admission_mode",
+    "stream_threshold",
+    "fast_threads",
+    "drain_timeout",
+    "max_line_bytes",
+)
+
+#: Shard attempts per request when shards die mid-solve.
+DISPATCH_ATTEMPTS = 8
+
+#: The coordinator admits everything; the shards run admission.
+_PASS = AdmissionDecision("coordinator")
+
 #: Response fields the coordinator strips from a shard reply to recover
-#: the cacheable core (everything the single-node ``_solve`` adds around
+#: the cacheable core (everything the ``_solve`` pipeline adds around
 #: the ``execute_payload`` result).
 _ENVELOPE_FIELDS = frozenset(
     {
@@ -98,7 +118,7 @@ class CoordinatorConfig:
         Number of scheduler-worker shards.
     transport:
         ``"inproc"`` keeps shards in the coordinator's event loop (fast
-        to start, no parallelism — tests and docs); ``"tcp"`` forks one
+        to start, no parallelism — tests and docs); ``"tcp"`` starts one
         OS process per shard (real multi-core GA throughput).
     workers / ga_queue_limit / admission_mode / stream_threshold /
     fast_threads:
@@ -112,8 +132,6 @@ class CoordinatorConfig:
     max_restarts:
         Times one shard may be respawned before it is left dead (the
         ring fails its keys over to the survivors).
-    dispatch_retries:
-        Re-route attempts per request when shards die mid-solve.
     """
 
     host: str = "127.0.0.1"
@@ -132,8 +150,6 @@ class CoordinatorConfig:
     max_line_bytes: int = DEFAULT_MAX_FRAME
     steal_margin: int = 1
     max_restarts: int = 3
-    dispatch_retries: int = 8
-    mp_context: str = "fork"
 
     def __post_init__(self) -> None:
         if self.shards < 1:
@@ -151,10 +167,6 @@ class CoordinatorConfig:
             raise ValueError(f"steal_margin must be >= 1, got {self.steal_margin}")
         if self.max_restarts < 0:
             raise ValueError(f"max_restarts must be >= 0, got {self.max_restarts}")
-        if self.dispatch_retries < 1:
-            raise ValueError(
-                f"dispatch_retries must be >= 1, got {self.dispatch_retries}"
-            )
 
 
 class _ShardHandle:
@@ -171,8 +183,8 @@ class _ShardHandle:
         self.ga_inflight = 0
         self.routed = 0
         self.restarts = 0
-        # Exactly one backend is set: an in-loop service (inproc) or a
-        # forked process plus its report pipe (tcp).
+        # Exactly one backend is set: an in-loop service (inproc) or an
+        # OS process (tcp).
         self.service: ShardServer | None = None
         self.process: mp.process.BaseProcess | None = None
 
@@ -192,8 +204,8 @@ class Coordinator(SchedulerService):
         coordinator = Coordinator(CoordinatorConfig(shards=4, transport="tcp"))
         asyncio.run(coordinator.run())     # serves until 'shutdown'
 
-    Inherits the connection loop, op dispatch and warm-start logic from
-    the single-node service; overrides solving with shard dispatch.
+    Inherits the connection loop, op dispatch and the solve pipeline
+    from the single-node service; overrides the role hooks only.
     """
 
     def __init__(
@@ -209,14 +221,8 @@ class Coordinator(SchedulerService):
                 host=t.host,
                 port=t.port,
                 listen=t.listen,
-                workers=t.workers,
-                ga_queue_limit=t.ga_queue_limit,
-                admission_mode=t.admission_mode,
-                stream_threshold=t.stream_threshold,
                 cache_bytes=t.cache_bytes,
-                fast_threads=t.fast_threads,
-                drain_timeout=t.drain_timeout,
-                max_line_bytes=t.max_line_bytes,
+                **self._forwarded(),
             ),
             progress=progress,
         )
@@ -237,11 +243,8 @@ class Coordinator(SchedulerService):
 
     # --------------------------------------------------------------- lifecycle
 
-    async def start(self) -> None:
-        """Spawn the shards, then bind the client-facing listener."""
-        from repro.service.comm import listen as comm_listen
-
-        self._shutdown_event = asyncio.Event()
+    async def _start_execution(self) -> str:
+        """Spawn the shards (the listener binds after them)."""
         try:
             for handle in self._shards.values():
                 await self._start_shard(handle)
@@ -250,34 +253,15 @@ class Coordinator(SchedulerService):
             for handle in self._shards.values():
                 await self._stop_shard(handle, graceful=False)
             raise
-        self._listener = await comm_listen(
-            self.listen_address,
-            self._handle_comm,
-            max_frame=self.config.max_line_bytes,
-        )
-        self.port = self._listener.port
-        self._started = time.monotonic()
-        self._log(
-            f"coordinating {len(self._shards)} {self.topology.transport} "
-            f"shard(s) on {self._listener.address}"
-        )
+        return f"{len(self._shards)} {self.topology.transport} shard(s)"
 
     async def aclose(self) -> None:
         """Stop the listener, the client connections, then the shards."""
-        self._closing = True
-        if self._listener is not None:
-            await self._listener.aclose()
-            self._listener = None
-        for comm in list(self._conns):
-            await comm.aclose()
-        if self._conn_tasks:
-            _, stragglers = await asyncio.wait(list(self._conn_tasks), timeout=5.0)
-            for task in stragglers:
-                task.cancel()
-            if stragglers:
-                await asyncio.gather(*stragglers, return_exceptions=True)
-            self._conn_tasks.clear()
-        self._conns.clear()
+        self._closing = True  # a shard lost from here on stays down
+        await super().aclose()
+
+    async def _stop_execution(self) -> None:
+        """Cancel pending shard restarts, then stop every shard."""
         for task in list(self._aux_tasks):
             task.cancel()
         if self._aux_tasks:
@@ -285,23 +269,19 @@ class Coordinator(SchedulerService):
             self._aux_tasks.clear()
         for handle in self._shards.values():
             await self._stop_shard(handle, graceful=True)
-        self._log("stopped")
 
     # ---------------------------------------------------------- shard spawning
 
+    def _forwarded(self) -> dict[str, Any]:
+        """The :class:`ServiceConfig` fields shared with every shard."""
+        return {f: getattr(self.topology, f) for f in _FORWARDED}
+
     def _shard_kwargs(self, node_id: str, listen: str) -> dict[str, Any]:
-        t = self.topology
         return dict(
             node_id=node_id,
             listen=listen,
-            workers=t.workers,
-            ga_queue_limit=t.ga_queue_limit,
-            admission_mode=t.admission_mode,
-            stream_threshold=t.stream_threshold,
-            cache_bytes=t.shard_cache_bytes,
-            fast_threads=t.fast_threads,
-            drain_timeout=t.drain_timeout,
-            max_line_bytes=t.max_line_bytes,
+            cache_bytes=self.topology.shard_cache_bytes,
+            **self._forwarded(),
         )
 
     async def _start_shard(self, handle: _ShardHandle) -> None:
@@ -327,7 +307,7 @@ class Coordinator(SchedulerService):
         handle.pid = os.getpid()
 
     async def _start_tcp_shard(self, handle: _ShardHandle) -> None:
-        ctx = mp.get_context(self.topology.mp_context)
+        ctx = mp.get_context(START_METHOD)
         parent_conn, child_conn = ctx.Pipe()
         process = ctx.Process(
             target=shard_main,
@@ -447,25 +427,6 @@ class Coordinator(SchedulerService):
             handle.pending.pop(corr, None)
         return dict(reply)
 
-    def _forward_message(self, request: dict[str, Any]) -> dict[str, Any]:
-        """The solve request as re-sent to a shard (sans correlation id)."""
-        message: dict[str, Any] = {
-            "op": "solve",
-            "problem": request["problem"],
-            "solver": request["solver"],
-            "epsilon": request["epsilon"],
-            "seed": request["seed"],
-            "n_realizations": request["n_realizations"],
-            "warm_start": request["warm_start"],
-        }
-        if request.get("deadline_s") is not None:
-            message["deadline_s"] = request["deadline_s"]
-        if request.get("ga"):
-            message["ga"] = request["ga"]
-        if request.get("warm_seeds"):
-            message["warm_seeds"] = request["warm_seeds"]
-        return message
-
     async def _dispatch(
         self, request: dict[str, Any], fingerprint: str
     ) -> dict[str, Any]:
@@ -476,10 +437,9 @@ class Coordinator(SchedulerService):
         payload, so a duplicate solve on another shard returns the same
         bits the lost one would have.
         """
-        message = self._forward_message(request)
         is_ga = request["solver"] == "ga"
         last_error: Exception | None = None
-        for attempt in range(self.topology.dispatch_retries):
+        for attempt in range(DISPATCH_ATTEMPTS):
             if attempt:
                 self.counters["dispatch_retries"] += 1
                 obs.add("service.dispatch_retry")
@@ -514,7 +474,9 @@ class Coordinator(SchedulerService):
             if is_ga:
                 handle.ga_inflight += 1
             try:
-                reply = await self._shard_rpc(handle, message)
+                # The normalized request is a valid shard request as is;
+                # the shard re-normalizes it to the same dict.
+                reply = await self._shard_rpc(handle, request)
             except ShardDown as exc:
                 last_error = exc
                 continue
@@ -531,102 +493,35 @@ class Coordinator(SchedulerService):
         raise ProtocolError(
             "internal",
             f"no shard could serve the request after "
-            f"{self.topology.dispatch_retries} attempts: {last_error}",
+            f"{DISPATCH_ATTEMPTS} attempts: {last_error}",
         )
 
     # ------------------------------------------------------------------- solve
 
-    async def _solve(self, request: dict[str, Any], span) -> dict[str, Any]:
-        if self._draining:
-            raise ProtocolError("shutting-down", "server is shutting down")
-        self.counters["solve"] += 1
-        t0 = time.perf_counter()
-        try:
-            problem = problem_from_dict(request["problem"])
-            fingerprint = problem_fingerprint(problem)
-        except (ValueError, KeyError, TypeError) as exc:
+    def _admit(
+        self, request: dict[str, Any]
+    ) -> tuple[dict[str, Any], AdmissionDecision]:
+        """Pass every request through: the shards run admission."""
+        return request, _PASS
+
+    async def _execute(
+        self, request: dict[str, Any], problem, fingerprint: str, tier: str
+    ) -> Outcome:
+        """Dispatch the solve to a shard; its reply becomes the outcome."""
+        reply = await self._dispatch(request, fingerprint)
+        if not reply.get("ok"):
+            error = reply.get("error") or {}
+            code = error.get("code", "internal")
             raise ProtocolError(
-                "bad-problem", f"problem payload rejected: {exc}"
-            ) from exc
-        span.set(solver=request["solver"], tier="coordinator")
-
-        request, features, warm_seeds_count = self._apply_warm_start(
-            request, problem
+                code if code in ERROR_CODES else "internal",
+                error.get("message", "shard error"),
+            )
+        return Outcome(
+            core={k: v for k, v in reply.items() if k not in _ENVELOPE_FIELDS},
+            degraded=bool(reply.get("degraded")),
+            reason=reply.get("degraded_reason"),
+            cached=bool(reply.get("cached")),
         )
-        key = cache_key(fingerprint, request["solver"], **solve_params(request))
-
-        outcome, cached, coalesced = await self._resolve(key, request, fingerprint)
-        core = outcome["core"]
-        degraded = outcome["degraded"]
-        if degraded and not cached and not coalesced:
-            self.counters["degraded"] += 1
-
-        self._record_warm_start(core, problem, fingerprint, features)
-        span.set(cached=cached, degraded=degraded)
-        if self.config.node_id:  # pragma: no cover - coordinators are unnamed
-            span.set(node=self.config.node_id)
-        obs.add("service.cache_hit" if cached else "service.cache_miss")
-        response = ok_response(request["id"], **core)
-        response["cached"] = cached
-        response["coalesced"] = coalesced
-        response["degraded"] = degraded
-        response["warm_seeds"] = warm_seeds_count
-        if degraded:
-            response["requested_solver"] = "ga"
-            response["degraded_reason"] = outcome["degraded_reason"]
-        response["elapsed_s"] = time.perf_counter() - t0
-        return response
-
-    async def _resolve(
-        self, key: str, request: dict[str, Any], fingerprint: str
-    ) -> tuple[dict[str, Any], bool, bool]:
-        """Replicated cache, coordinator-level coalescing, or dispatch."""
-        hit = self.cache.get(key)
-        if hit is not None:
-            return {"core": hit, "degraded": False, "degraded_reason": None}, True, False
-        inflight = self._inflight.get(key)
-        if inflight is not None:
-            self.counters["coalesced"] += 1
-            obs.add("service.coalesced")
-            outcome = await asyncio.shield(inflight)
-            return dict(outcome, core=dict(outcome["core"])), False, True
-        loop = asyncio.get_running_loop()
-        future: asyncio.Future = loop.create_future()
-        self._inflight[key] = future
-        try:
-            reply = await self._dispatch(request, fingerprint)
-            if not reply.get("ok"):
-                error = reply.get("error") or {}
-                code = error.get("code", "internal")
-                raise ProtocolError(
-                    code if code in ERROR_CODES else "internal",
-                    error.get("message", "shard error"),
-                )
-            core = {k: v for k, v in reply.items() if k not in _ENVELOPE_FIELDS}
-            outcome = {
-                "core": core,
-                "degraded": bool(reply.get("degraded")),
-                "degraded_reason": reply.get("degraded_reason"),
-                "shard_cached": bool(reply.get("cached")),
-            }
-            if not future.done():
-                future.set_result(outcome)
-        except Exception as exc:
-            if not future.done():
-                future.set_exception(exc)
-            future.exception()  # a coalesced waiter may never retrieve it
-            raise
-        finally:
-            self._inflight.pop(key, None)
-        if not outcome["degraded"]:
-            # Write-through: the replicated tier is what lets a repeat
-            # request hit even after the computing shard was killed.  A
-            # degraded core is a *different* solve (HEFT stand-in keyed
-            # under the shard's heft key, not this GA key), so it is
-            # deliberately not replicated under `key`.
-            self.cache.put(key, core)
-        cached = outcome["shard_cached"]
-        return dict(outcome, core=dict(core)), cached, False
 
     # ------------------------------------------------------------------ status
 
@@ -657,14 +552,9 @@ class Coordinator(SchedulerService):
         return ok_response(
             request_id,
             op="status",
-            server={
-                "protocol": PROTOCOL_VERSION,
-                "uptime_s": time.monotonic() - self._started,
-                "role": "coordinator",
-                "transport": self.topology.transport,
-                "workers": self.config.workers,
-                "draining": self._draining,
-            },
+            server=self._server_status(
+                role="coordinator", transport=self.topology.transport
+            ),
             requests=dict(self.counters),
             cache=self.cache.stats(),
             warm_start=self.warm_store.stats(),
@@ -677,10 +567,7 @@ class Coordinator(SchedulerService):
                 "steal_margin": self.topology.steal_margin,
             },
             ga={"inflight": total_inflight},
-            solvers={
-                "fast": [s for s in SOLVERS if s != "ga"],
-                "queued": ["ga"],
-            },
+            solvers=SOLVER_TIERS,
             shards=shards,
         )
 

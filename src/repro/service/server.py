@@ -10,14 +10,22 @@ that).  The split mirrors dask ``distributed``: the server is a state
 machine that must never block, and computation is somebody else's
 problem.
 
-Request lifecycle for ``solve``::
+Request lifecycle for ``solve`` — the one pipeline of the single node,
+its shards and the sharded coordinator::
 
-    decode -> normalize -> deserialize problem (fingerprint check)
-      -> admission.route()          fast | ga | shed
+    decode -> normalize -> deserialize problem + fingerprint (once)
+      -> _admit()                   fast | ga | shed (coordinator: pass)
+      -> warm start                 (seeds join the payload)
       -> cache lookup               (content-addressed; hit -> respond)
       -> coalesce                   (identical in-flight solve -> share it)
-      -> execute                    (fast executor | GA backend)
+      -> _execute()                 fast pool | GA backend (coordinator:
+                                    dispatch to a shard)
       -> cache store -> respond
+
+``_admit`` and ``_execute`` are the two steps that differ by role; both
+feed one :class:`Outcome` record, so a role's rules (never cache a
+degraded stand-in, report a shard's hit as ``cached``) are data, not a
+second pipeline.
 
 Shedding is *service degradation*, not failure: an overloaded GA tier
 answers with the HEFT schedule for the same instance and seed, flagged
@@ -33,12 +41,16 @@ import queue
 import threading
 import time
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any, Callable, Coroutine, NamedTuple
 
 from repro.io.features import problem_features
 from repro.io.json_io import problem_fingerprint, problem_from_dict
 from repro.obs import runtime as obs
-from repro.service.admission import ADMISSION_MODES, AdmissionController
+from repro.service.admission import (
+    ADMISSION_MODES,
+    AdmissionController,
+    AdmissionDecision,
+)
 from repro.service.cache import ResultCache, cache_key
 from repro.service.comm import (
     Comm,
@@ -60,6 +72,10 @@ from repro.service.protocol import (
 from repro.service.solvers import execute_payload, solve_params
 
 __all__ = ["ServiceConfig", "SchedulerService"]
+
+#: The ``status`` reply's ``solvers`` block: every name but the GA is
+#: served on the fast tier.
+SOLVER_TIERS = {"fast": [s for s in SOLVERS if s != "ga"], "queued": ["ga"]}
 
 
 @dataclass(frozen=True)
@@ -234,6 +250,22 @@ class _GaBackend:
         self._loop.call_soon_threadsafe(apply)
 
 
+class Outcome(NamedTuple):
+    """What one execution produced for a cache key.
+
+    ``degraded`` marks a core that stands in for a different solve (a
+    shard shed the request to HEFT under its own HEFT key): it is served
+    and counted, never cached under the requesting key.  ``reason`` is
+    the shed reason; ``cached`` reports a hit below this service (a
+    shard's local cache).
+    """
+
+    core: dict[str, Any]
+    degraded: bool = False
+    reason: str | None = None
+    cached: bool = False
+
+
 class SchedulerService:
     """The daemon: accepts JSON-lines connections, serves schedules.
 
@@ -243,6 +275,11 @@ class SchedulerService:
         asyncio.run(service.run())            # serves until 'shutdown'
 
     or, for tests, ``start()``/``aclose()`` inside an existing loop.
+
+    Roles (a shard, the sharded coordinator) subclass it and override
+    hooks, never the pipeline: ``_start_execution``/``_stop_execution``
+    (lifecycle), ``_serve_frame`` (per connection frame), ``_admit`` and
+    ``_execute`` (per solve).
     """
 
     def __init__(
@@ -300,15 +337,9 @@ class SchedulerService:
     # --------------------------------------------------------------- lifecycle
 
     async def start(self) -> None:
-        """Bind the listener and start the GA backend."""
-        loop = asyncio.get_running_loop()
+        """Start the executors, then bind the listener."""
         self._shutdown_event = asyncio.Event()
-        self._fast_executor = concurrent.futures.ThreadPoolExecutor(
-            max_workers=self.config.fast_threads,
-            thread_name_prefix="repro-service-fast",
-        )
-        self._backend = _GaBackend(loop, self.config.workers)
-        self._backend.start()
+        serving = await self._start_execution()
         self._listener = await comm_listen(
             self.listen_address,
             self._handle_comm,
@@ -316,11 +347,7 @@ class SchedulerService:
         )
         self.port = self._listener.port
         self._started = time.monotonic()
-        self._log(
-            f"listening on {self._listener.address} "
-            f"(workers={self.config.workers}, "
-            f"ga_queue_limit={self.config.ga_queue_limit})"
-        )
+        self._log(f"listening on {self._listener.address} ({serving})")
 
     async def run(self) -> None:
         """Serve until a ``shutdown`` request, then drain and close."""
@@ -356,13 +383,33 @@ class SchedulerService:
                 await asyncio.gather(*stragglers, return_exceptions=True)
             self._conn_tasks.clear()
         self._conns.clear()
+        await self._stop_execution()
+        self._log("stopped")
+
+    async def _start_execution(self) -> str:
+        """Lifecycle hook: start the fast pool and the GA backend.
+
+        Returns what is being served, for the start-up log line.
+        """
+        self._fast_executor = concurrent.futures.ThreadPoolExecutor(
+            max_workers=self.config.fast_threads,
+            thread_name_prefix="repro-service-fast",
+        )
+        self._backend = _GaBackend(asyncio.get_running_loop(), self.config.workers)
+        self._backend.start()
+        return (
+            f"workers={self.config.workers}, "
+            f"ga_queue_limit={self.config.ga_queue_limit}"
+        )
+
+    async def _stop_execution(self) -> None:
+        """Lifecycle hook: stop what :meth:`_start_execution` started."""
         if self._backend is not None:
             self._backend.stop()
             self._backend = None
         if self._fast_executor is not None:
             self._fast_executor.shutdown(wait=False, cancel_futures=True)
             self._fast_executor = None
-        self._log("stopped")
 
     def _log(self, message: str) -> None:
         if self.progress is not None:
@@ -371,11 +418,19 @@ class SchedulerService:
     # ------------------------------------------------------------- connections
 
     async def _handle_comm(self, comm: Comm) -> None:
-        """Serve one connection: requests in order, one response each."""
+        """Serve one connection: one response per request frame."""
         task = asyncio.current_task()
         if task is not None:
             self._conn_tasks.add(task)
         self._conns.add(comm)
+        send_lock = asyncio.Lock()
+        frames: set[asyncio.Task] = set()
+
+        async def answer(line: bytes) -> None:
+            response = await self._respond(line)
+            async with send_lock:
+                await comm.send(response)
+
         try:
             while True:
                 try:
@@ -386,32 +441,45 @@ class SchedulerService:
                     self.counters["errors"] += 1
                     obs.add("service.errors")
                     try:
-                        await comm.send(
-                            error_response(
-                                None,
-                                "bad-request",
-                                "request line exceeds the "
-                                f"{self.config.max_line_bytes} byte limit; "
-                                "closing the connection",
+                        async with send_lock:
+                            await comm.send(
+                                error_response(
+                                    None,
+                                    "bad-request",
+                                    "request line exceeds the "
+                                    f"{self.config.max_line_bytes} byte limit; "
+                                    "closing the connection",
+                                )
                             )
-                        )
                     except (CommClosedError, FrameTooLargeError):
                         pass
                     break
-                except CommClosedError:
-                    break
                 if not line.strip():
                     continue
-                response = await self._respond(line)
-                try:
-                    await comm.send(response)
-                except CommClosedError:
-                    break
+                frame_task = await self._serve_frame(answer(line))
+                if frame_task is not None:
+                    frames.add(frame_task)
+                    frame_task.add_done_callback(frames.discard)
+        except CommClosedError:
+            pass
         finally:
+            if frames:
+                await asyncio.gather(*frames, return_exceptions=True)
             if task is not None:
                 self._conn_tasks.discard(task)
             self._conns.discard(comm)
             await comm.aclose()
+
+    async def _serve_frame(
+        self, answer: Coroutine[Any, Any, None]
+    ) -> asyncio.Task | None:
+        """Per-frame hook: a node answers its frames in order.
+
+        A role that answers concurrently returns the task it spawned; the
+        connection waits for it before closing.
+        """
+        await answer
+        return None
 
     async def _respond(self, line: bytes) -> dict[str, Any]:
         self.counters["requests"] += 1
@@ -460,6 +528,7 @@ class SchedulerService:
     # ------------------------------------------------------------------ solve
 
     async def _solve(self, request: dict[str, Any], span) -> dict[str, Any]:
+        """The one solve pipeline (see the module docstring)."""
         if self._draining:
             raise ProtocolError("shutting-down", "server is shutting down")
         self.counters["solve"] += 1
@@ -472,21 +541,7 @@ class SchedulerService:
                 "bad-problem", f"problem payload rejected: {exc}"
             ) from exc
 
-        decision = self.admission.route(
-            request["solver"], self._ga_inflight, request["deadline_s"]
-        )
-        degraded = decision.tier == "shed"
-        if degraded:
-            self.counters["degraded"] += 1
-            obs.add("service.shed")
-            obs.event(
-                "service.shed",
-                solver=request["solver"],
-                reason=decision.reason,
-            )
-            # The degraded tier is HEFT with the same instance and seed —
-            # same cache entry as an explicit HEFT request would hit.
-            request = dict(request, solver="heft")
+        request, decision = self._admit(request)
         span.set(solver=request["solver"], tier=decision.tier)
 
         request, features, warm_seeds_count = self._apply_warm_start(
@@ -496,26 +551,50 @@ class SchedulerService:
         key = cache_key(
             fingerprint, request["solver"], **solve_params(request)
         )
-        core, cached, coalesced = await self._compute(
-            key, request, decision.tier
+        outcome, coalesced = await self._compute(
+            key, request, problem, fingerprint, decision.tier
         )
 
-        self._record_warm_start(core, problem, fingerprint, features)
-        span.set(cached=cached, degraded=degraded)
-        if cached:
+        self._record_warm_start(outcome.core, problem, fingerprint, features)
+        degraded = decision.tier == "shed" or outcome.degraded
+        span.set(cached=outcome.cached, degraded=degraded)
+        if outcome.cached:
             obs.add("service.cache_hit")
         else:
             obs.add("service.cache_miss")
-        response = ok_response(request["id"], **core)
-        response["cached"] = cached
+        response = ok_response(request["id"], **outcome.core)
+        response["cached"] = outcome.cached
         response["coalesced"] = coalesced
         response["degraded"] = degraded
         response["warm_seeds"] = warm_seeds_count
         if degraded:
             response["requested_solver"] = "ga"
-            response["degraded_reason"] = decision.reason
+            response["degraded_reason"] = decision.reason or outcome.reason
         response["elapsed_s"] = time.perf_counter() - t0
         return response
+
+    def _admit(
+        self, request: dict[str, Any]
+    ) -> tuple[dict[str, Any], AdmissionDecision]:
+        """Solve hook: route the request to a tier.
+
+        A shed request is served the degraded tier: HEFT with the same
+        instance and seed — the cache entry an explicit HEFT request
+        would hit.
+        """
+        decision = self.admission.route(
+            request["solver"], self._ga_inflight, request["deadline_s"]
+        )
+        if decision.tier == "shed":
+            self.counters["degraded"] += 1
+            obs.add("service.shed")
+            obs.event(
+                "service.shed",
+                solver=request["solver"],
+                reason=decision.reason,
+            )
+            request = dict(request, solver="heft")
+        return request, decision
 
     # ------------------------------------------------------------ warm starts
 
@@ -569,52 +648,63 @@ class SchedulerService:
             )
 
     async def _compute(
-        self, key: str, request: dict[str, Any], tier: str
-    ) -> tuple[dict[str, Any], bool, bool]:
-        """Resolve one solve: cache, coalesce with an in-flight twin, or run."""
-        cached = self.cache.get(key)
-        if cached is not None:
-            return cached, True, False
+        self,
+        key: str,
+        request: dict[str, Any],
+        problem,
+        fingerprint: str,
+        tier: str,
+    ) -> tuple[Outcome, bool]:
+        """Resolve one solve: cache, coalesce with an in-flight twin, or
+        execute.  Returns the outcome and whether it was coalesced."""
+        hit = self.cache.get(key)
+        if hit is not None:
+            return Outcome(hit, cached=True), False
         inflight = self._inflight.get(key)
         if inflight is not None:
             self.counters["coalesced"] += 1
             obs.add("service.coalesced")
-            core = await asyncio.shield(inflight)
-            return dict(core), False, True
-        loop = asyncio.get_running_loop()
-        future: asyncio.Future = loop.create_future()
+            outcome = await asyncio.shield(inflight)
+            return outcome._replace(cached=False), True
+        future: asyncio.Future = asyncio.get_running_loop().create_future()
         self._inflight[key] = future
         try:
-            if tier == "ga":
-                core = await self._run_ga(request, future)
-            else:
-                core = await loop.run_in_executor(
-                    self._fast_executor, execute_payload, dict(request)
-                )
-                if not future.done():
-                    future.set_result(core)
+            outcome = await self._execute(request, problem, fingerprint, tier)
         except Exception as exc:
-            if not future.done():
-                future.set_exception(exc)
+            future.set_exception(exc)
             # A coalesced waiter may never retrieve it; don't warn.
             future.exception()
             raise
         finally:
             self._inflight.pop(key, None)
-        self.cache.put(key, core)
-        return dict(core), False, False
+        future.set_result(outcome)
+        if not outcome.degraded:
+            self.cache.put(key, outcome.core)
+        elif not outcome.cached:
+            self.counters["degraded"] += 1  # a fresh stand-in solve ran below
+        return outcome, False
 
-    async def _run_ga(
-        self, request: dict[str, Any], future: asyncio.Future
-    ) -> dict[str, Any]:
+    async def _execute(
+        self, request: dict[str, Any], problem, fingerprint: str, tier: str
+    ) -> Outcome:
+        """Solve hook: run one solve on the GA backend or the fast pool."""
+        if tier == "ga":
+            return Outcome(await self._run_ga(request))
+        core = await asyncio.get_running_loop().run_in_executor(
+            self._fast_executor, execute_payload, request, problem
+        )
+        return Outcome(core)
+
+    async def _run_ga(self, request: dict[str, Any]) -> dict[str, Any]:
         self._ga_inflight += 1
         obs.set_gauge(
             f"service.ga_inflight{self._gauge_suffix}", float(self._ga_inflight)
         )
         t0 = time.perf_counter()
         try:
-            self._backend.submit(dict(request), future)
-            core = await asyncio.shield(future)
+            done: asyncio.Future = asyncio.get_running_loop().create_future()
+            self._backend.submit(request, done)
+            core = await done
             self.admission.observe_ga_seconds(time.perf_counter() - t0)
             return core
         finally:
@@ -636,12 +726,7 @@ class SchedulerService:
             obs.set_gauge(
                 f"service.stream_load{self._gauge_suffix}", float(load)
             )
-        server: dict[str, Any] = {
-            "protocol": PROTOCOL_VERSION,
-            "uptime_s": time.monotonic() - self._started,
-            "workers": self.config.workers,
-            "draining": self._draining,
-        }
+        server = self._server_status()
         if self.config.node_id:
             server["node_id"] = self.config.node_id
         return ok_response(
@@ -657,8 +742,15 @@ class SchedulerService:
                 "queue_depth": queue_depth,
                 "queue_limit": self.config.ga_queue_limit,
             },
-            solvers={
-                "fast": [s for s in SOLVERS if s != "ga"],
-                "queued": ["ga"],
-            },
+            solvers=SOLVER_TIERS,
         )
+
+    def _server_status(self, **role: Any) -> dict[str, Any]:
+        """The ``status`` reply's ``server`` block."""
+        return {
+            "protocol": PROTOCOL_VERSION,
+            "uptime_s": time.monotonic() - self._started,
+            **role,
+            "workers": self.config.workers,
+            "draining": self._draining,
+        }

@@ -4,18 +4,19 @@ The coordinator multiplexes *all* client traffic for a shard over a
 single comm, tagging each request with a correlation id.  A shard
 therefore cannot serve frames strictly in order the way the single-node
 daemon does — one long GA solve would head-of-line-block every fast
-request behind it.  :class:`ShardServer` overrides the connection loop
-to handle each frame in its own task and write responses back as they
-finish (out of order; the coordinator matches them by ``id``).
+request behind it.  :class:`ShardServer` overrides the service's
+per-frame hook to answer each frame in its own task (out of order; the
+coordinator matches replies by ``id``).
 
-Everything else — admission, cache, coalescing, the GA backend — is the
-plain service.  Shards run with ``warm_start_enabled=False``: the
-coordinator owns the warm-start store and injects seeds into the
-payload before routing, which keeps a sharded deployment's responses
-bit-identical to the single-node daemon's.
+Everything else — the connection loop, the solve pipeline, admission,
+cache, coalescing, the GA backend — is the plain service.  Shards run
+with ``warm_start_enabled=False``: the coordinator owns the warm-start
+store and injects seeds into the payload before routing, which keeps a
+sharded deployment's responses bit-identical to the single-node
+daemon's.
 
 :func:`shard_main` is the child-process entry point for TCP shards
-(forked via :mod:`multiprocessing`); inproc shards are just
+(started via :mod:`multiprocessing`); inproc shards are just
 ``ShardServer`` instances living in the coordinator's event loop.
 """
 
@@ -23,11 +24,10 @@ from __future__ import annotations
 
 import asyncio
 import os
-from typing import Any
+from typing import Any, Coroutine
 
 from repro.obs import runtime as obs
-from repro.service.comm import Comm, CommClosedError, FrameTooLargeError
-from repro.service.protocol import error_response
+from repro.service.comm import CommClosedError
 from repro.service.server import SchedulerService, ServiceConfig
 
 __all__ = ["ShardServer", "shard_config", "shard_main"]
@@ -56,64 +56,25 @@ class ShardServer(SchedulerService):
     must correlate them by ``id``.
     """
 
-    async def _handle_comm(self, comm: Comm) -> None:
-        task = asyncio.current_task()
-        if task is not None:
-            self._conn_tasks.add(task)
-        self._conns.add(comm)
-        write_lock = asyncio.Lock()
-        frame_tasks: set[asyncio.Task] = set()
+    async def _serve_frame(
+        self, answer: Coroutine[Any, Any, None]
+    ) -> asyncio.Task:
+        """Answer the frame in its own task; replies go out as they finish."""
+        return asyncio.ensure_future(_unless_closed(answer))
 
-        async def respond_one(line: bytes) -> None:
-            response = await self._respond(line)
-            async with write_lock:
-                try:
-                    await comm.send(response)
-                except CommClosedError:
-                    pass
 
-        try:
-            while True:
-                try:
-                    line = await comm.read_frame()
-                except FrameTooLargeError:
-                    self.counters["errors"] += 1
-                    obs.add("service.errors")
-                    async with write_lock:
-                        try:
-                            await comm.send(
-                                error_response(
-                                    None,
-                                    "bad-request",
-                                    "request line exceeds the "
-                                    f"{self.config.max_line_bytes} byte "
-                                    "limit; closing the connection",
-                                )
-                            )
-                        except (CommClosedError, FrameTooLargeError):
-                            pass
-                    break
-                except CommClosedError:
-                    break
-                if not line.strip():
-                    continue
-                frame_task = asyncio.ensure_future(respond_one(line))
-                frame_tasks.add(frame_task)
-                frame_task.add_done_callback(frame_tasks.discard)
-        finally:
-            if frame_tasks:
-                await asyncio.gather(*frame_tasks, return_exceptions=True)
-            if task is not None:
-                self._conn_tasks.discard(task)
-            self._conns.discard(comm)
-            await comm.aclose()
+async def _unless_closed(answer: Coroutine[Any, Any, None]) -> None:
+    try:
+        await answer
+    except CommClosedError:
+        pass  # the peer is gone; there is nobody to answer
 
 
 def shard_main(config_kwargs: dict[str, Any], conn) -> None:
-    """Entry point of a forked TCP shard process.
+    """Entry point of a TCP shard process.
 
     Builds the shard's service from plain kwargs (the config dataclass
-    itself is not sent across the fork), serves until ``shutdown``, and
+    itself is not sent to the child), serves until ``shutdown``, and
     reports ``{"port", "pid"}`` back over the pipe once the listener is
     bound — or ``{"error"}`` if startup failed.
     """

@@ -106,17 +106,20 @@ def solve_params(request: dict[str, Any]) -> dict[str, Any]:
     return params
 
 
-def execute_payload(request: dict[str, Any]) -> dict[str, Any]:
+def execute_payload(request: dict[str, Any], problem=None) -> dict[str, Any]:
     """Solve one normalized request; returns the cacheable response core.
 
     The returned dict contains only content derived from the request
     (schedule, robustness report, solver identification) — no timings or
     server state — so it can be cached, shipped across the cluster pool
-    and compared bit-for-bit against a direct API run.
+    and compared bit-for-bit against a direct API run.  *problem* is the
+    already-decoded ``request["problem"]`` when the caller has it; it is
+    decoded here otherwise.
     """
     from repro.robustness.montecarlo import assess_robustness
 
-    problem = problem_from_dict(request["problem"])
+    if problem is None:
+        problem = problem_from_dict(request["problem"])
     solver = request["solver"]
     seed = request["seed"]
     result: dict[str, Any] = {

@@ -52,6 +52,7 @@ import numpy as np
 from repro.obs import runtime as obs
 from repro.stream.policies import DEFER, DROP, NoShedding, SheddingPolicy
 from repro.stream.workload import StreamJob, StreamWorkload
+from repro.utils.stats import normal_cdf
 
 __all__ = ["JOB_STATUSES", "JobOutcome", "StreamResult", "run_stream"]
 
@@ -61,11 +62,6 @@ JOB_STATUSES = ("on-time", "late", "dropped", "rejected")
 # Event kinds; finishes sort before arrivals and wakes at equal times so
 # freed processors are visible to same-instant decisions.
 _FINISH, _ARRIVAL, _WAKE = 0, 1, 2
-
-
-def _phi(x: float) -> float:
-    """Standard normal CDF."""
-    return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
 
 
 class _JobRun:
@@ -142,7 +138,7 @@ class _JobRun:
         sd = math.sqrt(self.bl_var[v])
         if sd == 0.0:
             return 1.0 if slack >= 0.0 else 0.0
-        return _phi(slack / sd)
+        return normal_cdf(slack / sd)
 
     def p_admit(self, queue_delay: float) -> float:
         """On-time probability at arrival, charged the current backlog."""
@@ -152,7 +148,7 @@ class _JobRun:
         sd = math.sqrt(self.root_var)
         if sd == 0.0:
             return 1.0 if slack >= 0.0 else 0.0
-        return _phi(slack / sd)
+        return normal_cdf(slack / sd)
 
 
 @dataclass(frozen=True)

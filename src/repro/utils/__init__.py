@@ -8,6 +8,7 @@ from repro.utils.rng import as_generator, spawn_generators, spawn_seeds
 from repro.utils.stats import (
     geometric_mean,
     log_ratio,
+    normal_cdf,
     summarize,
     Summary,
 )
@@ -24,6 +25,7 @@ __all__ = [
     "spawn_seeds",
     "geometric_mean",
     "log_ratio",
+    "normal_cdf",
     "summarize",
     "Summary",
     "check_matrix",

@@ -7,11 +7,17 @@ single implementation of that transform.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["log_ratio", "geometric_mean", "summarize", "Summary"]
+__all__ = ["log_ratio", "geometric_mean", "normal_cdf", "summarize", "Summary"]
+
+
+def normal_cdf(x: float) -> float:
+    """Standard normal CDF Φ(x) of a scalar, via ``math.erf``."""
+    return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
 
 
 def log_ratio(value: np.ndarray | float, reference: np.ndarray | float) -> np.ndarray | float:

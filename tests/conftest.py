@@ -1,6 +1,15 @@
-"""Shared fixtures: hand-checked small instances and random pools."""
+"""Shared fixtures: hand-checked small instances and random pools.
+
+Also a per-test hang guard: a test still running after
+:data:`TEST_DEADLINE_S` seconds ends the whole run with every thread's
+stack on stderr, instead of hanging until an outer timeout kills it
+without a trace.
+"""
 
 from __future__ import annotations
+
+import faulthandler
+import os
 
 import numpy as np
 import pytest
@@ -10,6 +19,26 @@ from repro.graph.generator import DagParams
 from repro.graph.taskgraph import TaskGraph
 from repro.platform.platform import Platform
 from repro.platform.uncertainty import UncertaintyModel, UncertaintyParams
+
+#: Seconds one test (setup, call and teardown) may run.
+TEST_DEADLINE_S = 300
+
+#: A copy of the real stderr, taken between tests while output capture
+#: is suspended; during a test, fd 2 points into the capture.
+_stderr_fd: list[int] = []
+
+
+@pytest.hookimpl(hookwrapper=True)
+def pytest_runtest_protocol(item, nextitem):
+    if not _stderr_fd:
+        _stderr_fd.append(os.dup(2))
+    faulthandler.dump_traceback_later(
+        TEST_DEADLINE_S, exit=True, file=_stderr_fd[0]
+    )
+    try:
+        yield
+    finally:
+        faulthandler.cancel_dump_traceback_later()
 
 
 @pytest.fixture
